@@ -48,36 +48,46 @@ bench:
 # HOT_BENCHES are the simulator hot-path benchmarks whose numbers this repo
 # tracks in BENCH_sim.json (see README): one repetition, the full launcher
 # protocol with telemetry off and on (the pair bounds instrumentation
-# overhead), and the campaign sweep serial plus across worker counts.
-HOT_BENCHES = ^(BenchmarkRunOne|BenchmarkVariantMaterialize|BenchmarkLauncherProtocol|BenchmarkLauncherProtocolTelemetry|BenchmarkCampaignSweep|BenchmarkCampaignSweepAdaptive|BenchmarkCampaignSweepWorkers|BenchmarkAnalyze|BenchmarkScreenStatic)$$
+# overhead), the production launch path with its pooled machine, and the
+# campaign sweep serial plus across worker counts.
+HOT_BENCHES = ^(BenchmarkRunOne|BenchmarkVariantMaterialize|BenchmarkLauncherProtocol|BenchmarkLauncherProtocolTelemetry|BenchmarkLaunch|BenchmarkCampaignSweep|BenchmarkCampaignSweepAdaptive|BenchmarkCampaignSweepWorkers|BenchmarkAnalyze|BenchmarkScreenStatic)$$
 
 # bench-smoke compiles and runs each hot-path benchmark exactly once — a CI
 # guard that they keep working, not a measurement.
 bench-smoke:
 	$(GO) test -run='^$$' -bench '$(HOT_BENCHES)' -benchtime=1x -benchmem .
 
-# bench-json measures the hot-path benchmarks and merges the numbers into
-# BENCH_sim.json under LABEL (default: local).
+# bench-json measures the hot-path benchmarks five times and merges the
+# numbers into BENCH_sim.json under LABEL (default: local), with the host
+# CPU, Go version and commit alongside: each metric is the median of the
+# samples, and the samples are kept.
 LABEL ?= local
 bench-json:
-	$(GO) test -run='^$$' -bench '$(HOT_BENCHES)' -benchmem . \
+	$(GO) test -run='^$$' -bench '$(HOT_BENCHES)' -benchmem -count=5 . \
 		| $(GO) run ./cmd/benchjson -label '$(LABEL)' -o BENCH_sim.json
 
 # bench-guard runs the campaign sweep benchmark once and fails if its
-# allocs/op exceed the committed ceiling in bench_guard_allocs.txt —
-# wall-clock noise cannot trip it, allocation regressions in the variant
-# pipeline always do. Raise the ceiling only with a justification in the
-# same commit.
+# allocs/op or B/op exceed the committed ceilings in bench_guard_allocs.txt
+# and bench_guard_bytes.txt — wall-clock noise cannot trip either, while an
+# allocation regression in the variant pipeline (or a return to building a
+# simulated machine per launch, about a megabyte each) always does. Raise a
+# ceiling only with a justification in the same commit.
 bench-guard:
-	@limit="$$(cat bench_guard_allocs.txt)"; \
+	@allocs_limit="$$(cat bench_guard_allocs.txt)"; \
+	bytes_limit="$$(cat bench_guard_bytes.txt)"; \
 	out="$$($(GO) test -run='^$$' -bench '^BenchmarkCampaignSweep$$' -benchtime=1x -benchmem . | tee /dev/stderr)"; \
-	allocs="$$(echo "$$out" | awk '/^BenchmarkCampaignSweep/ {for (i=1; i<=NF; i++) if ($$i == "allocs/op") print $$(i-1)}')"; \
-	if [ -z "$$allocs" ]; then echo "bench-guard: could not parse allocs/op"; exit 1; fi; \
-	if [ "$$allocs" -gt "$$limit" ]; then \
-		echo "bench-guard: BenchmarkCampaignSweep allocated $$allocs objs/op, ceiling is $$limit"; \
+	metric() { echo "$$out" | awk -v unit="$$1" '/^BenchmarkCampaignSweep/ {for (i=1; i<=NF; i++) if ($$i == unit) print $$(i-1)}'; }; \
+	allocs="$$(metric allocs/op)"; bytes="$$(metric B/op)"; \
+	if [ -z "$$allocs" ] || [ -z "$$bytes" ]; then echo "bench-guard: could not parse allocs/op and B/op"; exit 1; fi; \
+	if [ "$$allocs" -gt "$$allocs_limit" ]; then \
+		echo "bench-guard: BenchmarkCampaignSweep allocated $$allocs objs/op, ceiling is $$allocs_limit"; \
 		exit 1; \
 	fi; \
-	echo "bench-guard: $$allocs allocs/op <= $$limit"
+	if [ "$$bytes" -gt "$$bytes_limit" ]; then \
+		echo "bench-guard: BenchmarkCampaignSweep allocated $$bytes B/op, ceiling is $$bytes_limit"; \
+		exit 1; \
+	fi; \
+	echo "bench-guard: $$allocs allocs/op <= $$allocs_limit, $$bytes B/op <= $$bytes_limit"
 
 # telemetry-smoke starts a real study with -telemetry-addr on an ephemeral
 # port, scrapes /metrics and /debug/campaigns mid-run, and asserts the

@@ -697,7 +697,9 @@ func BenchmarkRunOne(b *testing.B) {
 // calibration, outer×inner repetitions) of a small streaming kernel on a
 // reused machine. The trip count is deliberately tiny so per-repetition
 // overhead — not simulated kernel work — dominates: this is the fixed cost
-// every variant of a sweep pays.
+// every variant of a sweep pays. It calls LaunchOn on a machine it owns, so
+// it leaves out how launcher.Launch obtains its machine; BenchmarkLaunch
+// times that production path.
 func BenchmarkLauncherProtocol(b *testing.B) {
 	desc, err := machine.ByName("nehalem-dual/8")
 	if err != nil {
@@ -719,6 +721,29 @@ func BenchmarkLauncherProtocol(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := launcher.LaunchOn(context.Background(), mach, prog, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLaunch is BenchmarkLauncherProtocol through launcher.Launch, the
+// path campaigns and the service take: resolve the machine name, take a
+// machine from the per-model pool and reset it (or build one on a pool
+// miss), apply frequency and noise, run the protocol, return the machine.
+// The gap to BenchmarkLauncherProtocol is the machine acquisition cost.
+func BenchmarkLaunch(b *testing.B) {
+	prog, err := asm.ParseOne(obsKernel, "k")
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := launcher.DefaultOptions()
+	opts.MachineName = "nehalem-dual/8"
+	opts.ArrayBytes = 1 << 10
+	opts.TripElements = 16
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := launcher.Launch(context.Background(), prog, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -341,8 +341,9 @@ func runChaos(ctx context.Context, args []string) {
 
 // runTop implements the top subcommand: one-shot snapshot of a running
 // instance's telemetry. It fetches /debug/campaigns and prints a
-// progress table (or the raw JSON with -json), and with -metrics also
-// dumps the full Prometheus exposition. Exit status 1 means the
+// progress table followed by the simulated-machine pool counters from
+// /metrics (or the raw JSON with -json), and with -metrics also dumps the
+// full Prometheus exposition. Exit status 1 means the
 // instance was unreachable.
 func runTop(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
@@ -433,13 +434,36 @@ func runTop(ctx context.Context, args []string) {
 			}
 		}
 	}
-	if *metrics {
-		body, err := get("/metrics")
-		if err != nil {
+	var exposition []byte
+	if *metrics || !*jsonOut {
+		if exposition, err = get("/metrics"); err != nil {
 			fail(err)
 		}
-		os.Stdout.Write(body)
 	}
+	if !*jsonOut {
+		// The launcher's machine pool: a built count that keeps pace
+		// with the launches means machines are no longer being reused.
+		built, okB := promValue(exposition, telemetry.MetricMachinesBuilt)
+		reused, okR := promValue(exposition, telemetry.MetricMachinesReused)
+		if okB && okR {
+			fmt.Printf("sim machines: %s built, %s reused\n", built, reused)
+		}
+	}
+	if *metrics {
+		os.Stdout.Write(exposition)
+	}
+}
+
+// promValue returns the sample value of an unlabeled metric, given by its
+// internal dotted name, from a /metrics exposition.
+func promValue(exposition []byte, name string) (string, bool) {
+	prefix := "microtools_" + strings.ReplaceAll(name, ".", "_") + " "
+	for _, line := range strings.Split(string(exposition), "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			return strings.TrimSpace(v), true
+		}
+	}
+	return "", false
 }
 
 // runSubmit implements the submit subcommand: the remote drop-in for

@@ -149,21 +149,83 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
+// machineModel is one simulated machine model Launch has resolved: its
+// descriptor and a pool of idle machines built from it. Building a machine
+// allocates its whole cache hierarchy (hundreds of µs and about a megabyte
+// for a /8-scaled model), several times the cost of the launch protocol
+// itself; a pooled machine is restored to its freshly built state by
+// sim.Machine.Reset instead.
+type machineModel struct {
+	desc *machine.Machine
+	pool sync.Pool
+}
+
+// machineModels maps canonical machine names (the resolved descriptor's
+// Name) to their models. Only names machine.ByName resolves create an
+// entry, and aliases ("nehalem-dual/08") share the canonical entry, so the
+// map is bounded by the set of distinct models whatever names callers
+// submit.
+var machineModels = struct {
+	sync.Mutex
+	byName map[string]*machineModel
+}{byName: map[string]*machineModel{}}
+
+// modelFor resolves a machine name to its model. Canonical names hit the
+// map directly; any other name goes through machine.ByName first, and a
+// name that does not resolve returns ByName's error without touching the
+// map.
+func modelFor(name string) (*machineModel, error) {
+	machineModels.Lock()
+	m := machineModels.byName[name]
+	machineModels.Unlock()
+	if m != nil {
+		return m, nil
+	}
+	desc, err := machine.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	machineModels.Lock()
+	defer machineModels.Unlock()
+	if m = machineModels.byName[desc.Name]; m == nil {
+		m = &machineModel{desc: desc}
+		machineModels.byName[desc.Name] = m
+	}
+	return m, nil
+}
+
 // Launch measures one kernel program under the given options. The context
 // cancels the protocol between repetitions: a canceled launch returns
 // ctx.Err() without a measurement.
+//
+// The simulated machine comes from a per-model pool: a pool miss builds
+// one, a hit resets one to exactly the state a build produces, and the
+// machine goes back to the pool when the launch ends, successful or not.
+// Either way the launch sees an identical machine, so measurements do not
+// depend on what ran before.
 func Launch(ctx context.Context, prog *isa.Program, opts Options) (*Measurement, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	desc, err := machine.ByName(opts.MachineName)
+	model, err := modelFor(opts.MachineName)
 	if err != nil {
 		return nil, err
 	}
-	mach, err := sim.New(desc)
-	if err != nil {
-		return nil, err
+	var built, reused *telemetry.Counter
+	if opts.Metrics != nil {
+		built, reused = opts.Metrics.MachinesBuilt, opts.Metrics.MachinesReused
 	}
+	mach, _ := model.pool.Get().(*sim.Machine)
+	if mach == nil {
+		if mach, err = sim.New(model.desc); err != nil {
+			return nil, err
+		}
+		built.Inc()
+	} else {
+		mach.Reset()
+		reused.Inc()
+	}
+	defer model.pool.Put(mach)
 	if opts.CoreFrequencyGHz > 0 {
 		if err := mach.SetCoreFrequency(opts.CoreFrequencyGHz); err != nil {
 			return nil, err

@@ -144,6 +144,15 @@ func (c *cache) flush() {
 	}
 }
 
+// reset restores the cache to its newCache state: every way invalid and
+// clean, every LRU stamp and the tick zero.
+func (c *cache) reset() {
+	clear(c.ways)
+	clear(c.stamp)
+	clear(c.dirty)
+	c.tick = 0
+}
+
 // invalidateFraction drops approximately frac of all lines, using the seeded
 // rng (interrupt-noise model: an interrupt handler evicts part of the
 // cache).

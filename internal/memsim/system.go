@@ -80,7 +80,10 @@ type socketState struct {
 
 // System is one machine's memory system.
 type System struct {
-	cfg    HierarchyConfig
+	cfg HierarchyConfig
+	// base is the configuration NewSystem was given; SetCoreClockRatio
+	// mutates cfg, and Reset restores it from here.
+	base   HierarchyConfig
 	nCores int
 	cores  []coreState
 	socks  []socketState
@@ -104,7 +107,7 @@ func NewSystem(cfg HierarchyConfig, nCores int) (*System, error) {
 		return nil, fmt.Errorf("memsim: need at least one core")
 	}
 	nSocks := (nCores + cfg.CoresPerSocket - 1) / cfg.CoresPerSocket
-	s := &System{cfg: cfg, nCores: nCores}
+	s := &System{cfg: cfg, base: cfg, nCores: nCores}
 	s.cores = make([]coreState, nCores)
 	for i := range s.cores {
 		c := &s.cores[i]
@@ -140,6 +143,45 @@ func NewSystem(cfg HierarchyConfig, nCores int) (*System, error) {
 	}
 	s.recomputeClocks()
 	return s, nil
+}
+
+// Reset returns the system to exactly the state NewSystem built — cold
+// caches, idle queues and ports, untrained prefetchers, closed DRAM rows,
+// zero stats and the original clock ratio — without reallocating, so a
+// pooled machine can be handed to the next launch. Every field added to
+// System, coreState or socketState must be restored here;
+// TestResetEqualsNew compares a used-then-reset system against a fresh one
+// with reflect.DeepEqual.
+func (s *System) Reset() {
+	for i := range s.cores {
+		c := &s.cores[i]
+		c.l1.reset()
+		c.l2.reset()
+		clear(c.mshr)
+		clear(c.bankFree)
+		c.l2Free = 0
+		c.stores = [storeWindowSize]storeRec{}
+		c.storeI = 0
+		c.streams = [8]stream{}
+		c.streamI = 0
+		c.l2fill = [16]inflight{}
+		c.l2i = 0
+		clear(c.pfInflight)
+		c.pfIdx = 0
+		c.replayFree = 0
+	}
+	for i := range s.socks {
+		sk := &s.socks[i]
+		sk.l3.reset()
+		sk.l3Free = 0
+		clear(sk.chanFree)
+		for r := range sk.openRow {
+			sk.openRow[r] = ^uint64(0)
+		}
+	}
+	s.stats = Stats{}
+	s.cfg = s.base
+	s.recomputeClocks()
 }
 
 // recomputeClocks derives core-cycle latencies from the uncore-domain

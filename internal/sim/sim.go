@@ -116,6 +116,26 @@ func New(desc *machine.Machine) (*Machine, error) {
 	return &Machine{Desc: desc, Sys: sys, coreGHz: desc.CoreGHz}, nil
 }
 
+// Reset returns the machine to the state New built — cold memory system
+// at the nominal clock ratio, clock at cycle 0, nominal core frequency,
+// noise off, no trace span, no fault injector and no telemetry handles —
+// so a launcher can reuse it for an unrelated launch. Counts accumulated
+// since the last SetMetrics are flushed to the armed handles (dropped if
+// none are armed) before the handles are cleared. The pooled cpu.Cores
+// and the scratch slices are kept: Run/RunStream reinitialize both before
+// every use. Every field added to Machine must either be restored here or
+// be scratch of that kind.
+func (m *Machine) Reset() {
+	m.Sys.Reset()
+	m.now = 0
+	m.coreGHz = m.Desc.CoreGHz
+	m.noise = NoiseConfig{}
+	m.rng = nil
+	m.span = obs.Span{}
+	m.injector, m.faultKey = nil, ""
+	m.SetMetrics(nil)
+}
+
 // SetNoise configures the environmental noise sources. An enabled
 // configuration is validated — the interrupt interval must be positive (it
 // seeds rand.Int63n inside Run/RunStream), the per-interrupt cost

@@ -14,14 +14,17 @@ const (
 	MetricSimInstsRetired  = "sim.insts.retired"
 	MetricSimPoolHits      = "sim.pool.hits"
 	MetricSimPoolMisses    = "sim.pool.misses"
+	MetricMachinesBuilt    = "sim.machines.built"
+	MetricMachinesReused   = "sim.machines.reused"
 )
 
 // Metrics bundles the pre-resolved instrument handles the measurement
 // stack records into: the campaign worker pool (per-variant duration,
 // queue depth), the launcher protocol (per-repetition latency,
 // calibration time) and the simulator (instructions retired, core-pool
-// hit rate). Resolving the handles once up front keeps the hot paths
-// free of registry lookups.
+// hit rate, machines built versus reused from the launcher's pool).
+// Resolving the handles once up front keeps the hot paths free of
+// registry lookups.
 //
 // A nil *Metrics disables instrumentation; holders must nil-check the
 // struct pointer before reading its fields (the fields themselves are
@@ -52,6 +55,13 @@ type Metrics struct {
 	SimInstsRetired *Counter
 	SimPoolHits     *Counter
 	SimPoolMisses   *Counter
+
+	// MachinesBuilt/MachinesReused split launcher.Launch's simulated
+	// machines into pool misses (a fresh build, hundreds of µs and about
+	// a megabyte) and pool hits (a reset). A built count that tracks the
+	// launch count is a pool regression.
+	MachinesBuilt  *Counter
+	MachinesReused *Counter
 }
 
 // NewMetrics resolves the standard instrument set against a registry.
@@ -69,5 +79,7 @@ func NewMetrics(r *Registry) *Metrics {
 		SimInstsRetired:  r.Counter(MetricSimInstsRetired),
 		SimPoolHits:      r.Counter(MetricSimPoolHits),
 		SimPoolMisses:    r.Counter(MetricSimPoolMisses),
+		MachinesBuilt:    r.Counter(MetricMachinesBuilt),
+		MachinesReused:   r.Counter(MetricMachinesReused),
 	}
 }

@@ -51,7 +51,9 @@ for name in \
     microtools_campaign_launches \
     microtools_campaign_variant_seconds_count \
     microtools_launcher_rep_seconds_count \
-    microtools_sim_insts_retired; do
+    microtools_sim_insts_retired \
+    microtools_sim_machines_built \
+    microtools_sim_machines_reused; do
     if ! grep -q "^$name" "$workdir/metrics"; then
         echo "telemetry-smoke: /metrics is missing $name:" >&2
         cat "$workdir/metrics" >&2
